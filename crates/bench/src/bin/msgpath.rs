@@ -458,6 +458,23 @@ fn main() {
             )
         })
         .collect();
+    // Acceptance thresholds for the full run, checked before anything is
+    // written so a failing run leaves `results/` as it was.  `--quick` is a
+    // smoke test (tiny bursts on shared CI runners make wall-clock ratios
+    // noisy).
+    if !quick {
+        assert!(speedup >= 2.0, "aggregation must at least double fine-grain WAN throughput (got {speedup:.2}x)");
+        assert!(alloc_on < 0.05, "steady-state send path must not allocate per envelope (got {alloc_on:.3})");
+        // The ring-mailbox acceptance bar: ≥10M env/s intra-node on 32-B
+        // payloads, and flat (±20%) as senders scale 1→8 — per-sender
+        // rings mean there is no shared lock to contend on.
+        let peak = intra.iter().map(|r| r.env_per_s_batched).fold(0.0f64, f64::max);
+        assert!(peak >= 10_000_000.0, "intra-node path must sustain >=10M env/s (got {peak:.0})");
+        let upto8: Vec<f64> = intra.iter().filter(|r| r.senders <= 8).map(|r| r.env_per_s_batched).collect();
+        let (lo, hi) = (upto8.iter().copied().fold(f64::MAX, f64::min), upto8.iter().copied().fold(0.0, f64::max));
+        assert!(lo >= 0.8 * hi, "env/s must stay flat (+/-20%) from 1 to 8 senders (min {lo:.0}, max {hi:.0})");
+    }
+
     let json = format!(
         "{{\n  \"schema\": 2,\n  \"quick\": {quick},\n  \"payload_bytes\": {PAYLOAD},\n  \"senders\": {senders},\n  \
          \"envelopes_per_sender\": {n},\n  \"wan_one_way_ms\": 1,\n  \"agg_off\": {{\"env_per_s\": {:.0}, \
@@ -482,19 +499,4 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write results json");
     println!("\nwrote {out_path}");
-
-    // Acceptance thresholds for the full run; `--quick` is a smoke test
-    // (tiny bursts on shared CI runners make wall-clock ratios noisy).
-    if !quick {
-        assert!(speedup >= 2.0, "aggregation must at least double fine-grain WAN throughput (got {speedup:.2}x)");
-        assert!(alloc_on < 0.05, "steady-state send path must not allocate per envelope (got {alloc_on:.3})");
-        // The ring-mailbox acceptance bar: ≥10M env/s intra-node on 32-B
-        // payloads, and flat (±20%) as senders scale 1→8 — per-sender
-        // rings mean there is no shared lock to contend on.
-        let peak = intra.iter().map(|r| r.env_per_s_batched).fold(0.0f64, f64::max);
-        assert!(peak >= 10_000_000.0, "intra-node path must sustain >=10M env/s (got {peak:.0})");
-        let upto8: Vec<f64> = intra.iter().filter(|r| r.senders <= 8).map(|r| r.env_per_s_batched).collect();
-        let (lo, hi) = (upto8.iter().copied().fold(f64::MAX, f64::min), upto8.iter().copied().fold(0.0, f64::max));
-        assert!(lo >= 0.8 * hi, "env/s must stay flat (+/-20%) from 1 to 8 senders (min {lo:.0}, max {hi:.0})");
-    }
 }

@@ -34,7 +34,7 @@
 //! ## Unsupported in net mode
 //!
 //! `join_plan` (elastic expand) and the observability subsystem
-//! (`obs`/`trace`) are single-process features for now: joins would need
+//! (`obs`) are single-process features for now: joins would need
 //! a process launcher in the control plane, and obs recordings are too
 //! large to ship casually.  Both are ignored with a warning.
 
@@ -46,11 +46,10 @@ use std::time::{Duration, Instant};
 use mdo_net::{NetEvent, NetMesh, NetSession, TransportError as NetError};
 use mdo_netsim::network::NetworkStats;
 use mdo_netsim::{
-    ClusterId, Dur, FailureCause, FaultModelStats, FaultPlan, PeFailed, Time, Topology, TransportError,
-    UnrecoverableError,
+    ClusterId, Dur, FailureCause, FaultModelStats, PeFailed, Time, Topology, TransportError, UnrecoverableError,
 };
 use mdo_obs::{CounterSet, Ctr, ObsConfig};
-use mdo_vmi::{Aggregator, CrcDevice, FaultDevice, ReliableTransport, Transport, TransportConfig, Wire, WireBinding};
+use mdo_vmi::{TransportConfig, Wire, WireBinding};
 
 use crate::checkpoint::{assemble_buddy_snapshot, FtPiece, Snapshot};
 use crate::envelope::{Envelope, MsgBody, SYSTEM_PRIORITY};
@@ -59,7 +58,9 @@ use crate::node::{split_program, HostParts, Node, NodeShared};
 use crate::program::{Program, RunConfig, RunReport};
 use crate::wire::{WireReader, WireWriter};
 
-use super::threaded::{elapsed_ns, pe_thread, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED};
+use super::threaded::{
+    bank_of, elapsed_ns, spawn_pe, MsgStack, PeResult, ThreadCtl, ThreadedConfig, PE_ALIVE, PE_CRASHED,
+};
 
 // ---------------------------------------------------------------------------
 // Control-plane protocol
@@ -389,24 +390,15 @@ impl Books {
     }
 
     /// Close one generation's books from the local stack and results.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_generation(
-        &mut self,
-        raw: &Transport,
-        transport: &ReliableTransport,
-        agg: &Aggregator,
-        fault_stats: (u64, u64, u64),
-        results: &[PeResult],
-        orig: &[mdo_netsim::Pe],
-        mesh_drops: u64,
-    ) {
+    fn absorb_generation(&mut self, stack: &MsgStack, results: &[PeResult], orig: &[mdo_netsim::Pe], mesh_drops: u64) {
+        let MsgStack { raw, transport, agg, .. } = stack;
         let (intra_pkts, intra_bytes) = raw.intra_traffic();
         let (cross_pkts, cross_bytes) = raw.cross_traffic();
         self.sums.intra_msgs += intra_pkts;
         self.sums.intra_bytes += intra_bytes;
         self.sums.cross_msgs += cross_pkts;
         self.sums.cross_bytes += cross_bytes;
-        let (dropped, crc_rejected, reordered) = fault_stats;
+        let (dropped, crc_rejected, reordered) = stack.fault_stats();
         self.sums.dropped += dropped;
         // Records the net reader could not parse were dropped the same way
         // a CRC-rejected packet is: counted, recovered by retransmission.
@@ -430,9 +422,8 @@ impl Books {
             self.mine.insert(o);
             self.busy_ns[o] += r.busy.as_nanos();
             self.msgs[o] += r.messages;
-            let depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe)) as u64;
-            self.qdepth[o] = self.qdepth[o].max(depth);
-            let bytes = raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64;
+            let (depth, bytes) = stack.high_water(r.pe);
+            self.qdepth[o] = self.qdepth[o].max(depth as u64);
             self.sums.peak_mailbox_bytes = self.sums.peak_mailbox_bytes.max(bytes);
             self.sums.ckpt_bytes += r.ft_bytes;
         }
@@ -549,16 +540,13 @@ pub fn run_with_session(
     if cfg.join_plan.is_some() {
         eprintln!("mdo-net node {me}: join_plan is not supported in multi-process mode; ignoring");
     }
-    if cfg.wants_spans() {
-        eprintln!("mdo-net node {me}: obs/trace are not supported in multi-process mode; recording disabled");
+    if cfg.obs_active() {
+        eprintln!("mdo-net node {me}: obs is not supported in multi-process mode; recording disabled");
     }
     let is_host = me == 0;
 
     let orig_n_pes = topo.num_pes();
-    let fault_plan = cfg.fault_plan.clone();
     let failure_plan = cfg.failure_plan.clone();
-    let agg_cfg = cfg.agg_active();
-    let flow_cfg = cfg.flow;
     let restart_cfg = cfg.clone();
     let (mut shared, host) = split_program(program, topo, cfg);
 
@@ -599,34 +587,14 @@ pub fn run_with_session(
 
         let mut tc = TransportConfig::new(gen_topo.clone(), tcfg.latency.clone());
         tc.wire = Some(WireBinding::new(Arc::clone(&mesh) as Arc<dyn Wire>, &local_pes, n_pes));
-        let injected = fault_plan.clone().map(|plan| {
-            let fault = FaultDevice::for_reliable(plan);
-            let verify = CrcDevice::verifier();
-            tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
-            (fault, verify)
-        });
-        let raw = Transport::new(tc);
-        let transport = match (&fault_plan, flow_cfg) {
-            (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
-            (Some(plan), None) => ReliableTransport::with_plan(Arc::clone(&raw), plan.clone()),
-            (None, Some(flow)) => ReliableTransport::with_flow(
-                Arc::clone(&raw),
-                FaultPlan::default().with_rto(Dur::from_millis(1000)),
-                flow,
-            ),
-            (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
-        };
-        let agg = match (agg_cfg, flow_cfg) {
-            (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
-            (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
-            (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
-        };
+        let stack = MsgStack::build(tc, &restart_cfg);
+        let (raw, transport, agg) = (&stack.raw, &stack.transport, &stack.agg);
         // Inbound wire packets land straight in the destination PE's raw
         // mailbox — the exact point where in-process cross-chain traffic
         // lands, so the reliable layer and aggregator above see identical
         // bytes.  (A hostile dst is bounds-checked and dropped.)
         {
-            let raw = Arc::clone(&raw);
+            let raw = Arc::clone(raw);
             mesh.start(move |pkt| {
                 if pkt.dst.index() < n_pes {
                     raw.mailbox(pkt.dst).post(pkt);
@@ -638,38 +606,42 @@ pub fn run_with_session(
         let status: Arc<Vec<AtomicU8>> = Arc::new((0..n_pes).map(|_| AtomicU8::new(PE_ALIVE)).collect());
         let gen_start = elapsed_ns(t0);
         let last_heard: Arc<Vec<AtomicU64>> = Arc::new((0..n_pes).map(|_| AtomicU64::new(gen_start)).collect());
-        let orig_map: Arc<Vec<mdo_netsim::Pe>> = Arc::new(orig.clone());
 
-        let mut handles = Vec::with_capacity(local_pes.len());
-        for node in nodes.drain(..) {
-            let pe = node.pe();
-            let ctl = ThreadCtl {
-                agg: Arc::clone(&agg),
-                stop: Arc::clone(&stop),
-                exit_announced: Arc::clone(&exit_announced),
-                end_ns: Arc::clone(&end_ns),
-                decode_rejected: Arc::clone(&decode_rejected),
-                status: Arc::clone(&status),
-                last_heard: Arc::clone(&last_heard),
-                t0,
-                topo: gen_topo.clone(),
-                record_on: false,
-                obs_cfg: ObsConfig::default(),
-                orig_map: Arc::clone(&orig_map),
-                compute_sleep: tcfg.compute_sleep,
-                hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
-                crash: pending.iter().find(|s| s.pe == orig[pe.index()]).map(|s| s.trigger),
-                msgs_before: books.msgs[orig[pe.index()].index()],
-                ckpt_done: Arc::clone(&ckpt_done),
-            };
-            handles.push((
-                pe,
-                std::thread::Builder::new()
-                    .name(format!("mdo-n{}pe{}", me, pe.0))
-                    .spawn(move || pe_thread(pe, node, ctl))
-                    .expect("spawn PE thread"),
-            ));
-        }
+        let base = ThreadCtl {
+            agg: Arc::clone(agg),
+            stop: Arc::clone(&stop),
+            exit_announced: Arc::clone(&exit_announced),
+            end_ns: Arc::clone(&end_ns),
+            decode_rejected: Arc::clone(&decode_rejected),
+            status: Arc::clone(&status),
+            last_heard: Arc::clone(&last_heard),
+            t0,
+            topo: gen_topo.clone(),
+            record_on: false,
+            obs_cfg: ObsConfig::default(),
+            orig_map: Arc::new(orig.clone()),
+            compute_sleep: tcfg.compute_sleep,
+            steal: restart_cfg.steal,
+            hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
+            crash: None,
+            msgs_before: 0,
+            ckpt_done: Arc::clone(&ckpt_done),
+        };
+        // The bank holds only this process's PEs; stealing victims are
+        // same-cluster siblings, so they are local too.
+        let bank = bank_of(n_pes, std::mem::take(&mut nodes));
+        let handles: Vec<_> = local_pes
+            .iter()
+            .map(|&pe| {
+                let o = orig[pe.index()];
+                let ctl = ThreadCtl {
+                    crash: pending.iter().find(|s| s.pe == o).map(|s| s.trigger),
+                    msgs_before: books.msgs[o.index()],
+                    ..base.clone()
+                };
+                spawn_pe(format!("mdo-n{}pe{}", me, pe.0), pe, &bank, ctl)
+            })
+            .collect();
 
         if is_host {
             let startup = Envelope {
@@ -838,9 +810,7 @@ pub fn run_with_session(
             }
         }
 
-        agg.shutdown();
-        transport.shutdown();
-        raw.shutdown();
+        stack.shutdown();
         let mut results: Vec<PeResult> =
             handles.into_iter().map(|(pe, h)| h.join().unwrap_or_else(|_| PeResult::lost(pe))).collect();
         results.sort_by_key(|r| r.pe);
@@ -863,14 +833,7 @@ pub fn run_with_session(
         }
 
         let gen_lb_rounds = results.first().map(|r| r.lb_rounds).unwrap_or(0);
-        let fault_stats = injected
-            .as_ref()
-            .map(|(fault, verify)| {
-                let s = fault.stats();
-                (s.dropped, verify.rejected(), s.reordered)
-            })
-            .unwrap_or_default();
-        books.absorb_generation(&raw, &transport, &agg, fault_stats, &results, &orig, mesh.drops());
+        books.absorb_generation(&stack, &results, &orig, mesh.drops());
         if is_host {
             lb_rounds_total += gen_lb_rounds;
             migrations_total += results.first().map(|r| r.migrations).unwrap_or(0);
@@ -1174,7 +1137,6 @@ pub fn run_with_session(
             cross_messages: books.sums.cross_msgs,
             cross_bytes: books.sums.cross_bytes,
         },
-        trace: None,
         obs: None,
         lb_rounds: lb_rounds_total,
         migrations: migrations_total,

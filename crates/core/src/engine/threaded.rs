@@ -12,6 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mdo_netsim::network::NetworkStats;
@@ -21,7 +22,7 @@ use mdo_netsim::{
 };
 use mdo_vmi::{Aggregator, CrcDevice, FaultDevice, ReliableTransport, Transport, TransportConfig};
 
-use mdo_obs::{trace_from, CounterSet, Ctr, Event as ObsEvent, ObjTag, ObsConfig, ObsReport, PeObs, PeRecorder};
+use mdo_obs::{CounterSet, Ctr, Event as ObsEvent, ObjTag, ObsConfig, ObsReport, PeObs, PeRecorder};
 
 use crate::chare::{Ctx, CtxSink};
 use crate::checkpoint::assemble_buddy_snapshot;
@@ -147,8 +148,105 @@ impl PeResult {
 
 /// One slot per PE holding its [`Node`] for the current generation; with
 /// work stealing on, any sibling thread may briefly lock a slot to admit
-/// or complete an execution against that node.
+/// or complete an execution against that node.  Slots of PEs hosted by
+/// another process stay empty.
 pub(super) type NodeBank = Arc<Vec<Mutex<Option<Node>>>>;
+
+/// A bank of `n_pes` slots holding each of `nodes` at its PE's index.
+pub(super) fn bank_of(n_pes: usize, nodes: Vec<Node>) -> NodeBank {
+    let mut slots: Vec<Option<Node>> = (0..n_pes).map(|_| None).collect();
+    for node in nodes {
+        let i = node.pe().index();
+        slots[i] = Some(node);
+    }
+    Arc::new(slots.into_iter().map(Mutex::new).collect())
+}
+
+/// Spawn [`pe_loop`] for `pe` on a thread called `name`.
+pub(super) fn spawn_pe(name: String, pe: Pe, bank: &NodeBank, ctl: ThreadCtl) -> (Pe, JoinHandle<PeResult>) {
+    let bank = Arc::clone(bank);
+    let handle = std::thread::Builder::new().name(name).spawn(move || pe_loop(pe, bank, ctl)).expect("spawn PE thread");
+    (pe, handle)
+}
+
+/// One generation's message stack: the raw transport with its
+/// cross-cluster device chain, the reliable layer and the aggregator.
+/// Both the in-process and the TCP engine build theirs with
+/// [`MsgStack::build`].
+pub(super) struct MsgStack {
+    pub(super) raw: Arc<Transport>,
+    pub(super) transport: Arc<ReliableTransport>,
+    pub(super) agg: Arc<Aggregator>,
+    /// The fault device and the CRC verifier behind it (fault plan only).
+    injected: Option<(Arc<FaultDevice>, Arc<CrcDevice>)>,
+}
+
+impl MsgStack {
+    /// Build the stack over `tc` for the run's fault plan, flow control
+    /// and aggregation settings.
+    ///
+    /// With a fault plan the cross-cluster chain becomes checksum → fault
+    /// injection → verify → delay: an injected corruption fails the CRC
+    /// and is dropped (counted), so it reaches the reliable layer as a
+    /// plain loss.  Without a plan the chain and the wrapper are both
+    /// zero-overhead passthroughs.
+    pub(super) fn build(mut tc: TransportConfig, cfg: &RunConfig) -> MsgStack {
+        let injected = cfg.fault_plan.clone().map(|plan| {
+            let fault = FaultDevice::for_reliable(plan);
+            let verify = CrcDevice::verifier();
+            tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
+            (fault, verify)
+        });
+        let raw = Transport::new(tc);
+        let transport = match (&cfg.fault_plan, cfg.flow) {
+            (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
+            (Some(plan), None) => ReliableTransport::with_plan(Arc::clone(&raw), plan.clone()),
+            // Credit grants ride acks, so flow control needs the
+            // reliable layer even on a clean network; a generous RTO
+            // keeps the retransmit machinery from firing spuriously.
+            (None, Some(flow)) => ReliableTransport::with_flow(
+                Arc::clone(&raw),
+                FaultPlan::default().with_rto(Dur::from_millis(1000)),
+                flow,
+            ),
+            (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
+        };
+        let agg = match (cfg.agg, cfg.flow) {
+            (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
+            (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
+            (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
+        };
+        MsgStack { raw, transport, agg, injected }
+    }
+
+    /// Packets the injected devices dropped, rejected by CRC and reordered.
+    pub(super) fn fault_stats(&self) -> (u64, u64, u64) {
+        self.injected
+            .as_ref()
+            .map(|(fault, verify)| {
+                let s = fault.stats();
+                (s.dropped, verify.rejected(), s.reordered)
+            })
+            .unwrap_or_default()
+    }
+
+    /// High-water marks of `pe`'s queued envelopes and queued bytes.
+    /// Backlog can sit in the raw mailbox or (aggregating) in the unframed
+    /// pending bank; the marks see both.
+    pub(super) fn high_water(&self, pe: Pe) -> (usize, u64) {
+        let mailbox = self.raw.mailbox(pe);
+        let depth = mailbox.max_depth().max(self.agg.pending_max_depth(pe));
+        (depth, mailbox.max_bytes() as u64 + self.agg.pending_max_bytes(pe) as u64)
+    }
+
+    /// Flush still-buffered frames, stop retransmissions, then wake every
+    /// receiver so the PE threads wind down.
+    pub(super) fn shutdown(&self) {
+        self.agg.shutdown();
+        self.transport.shutdown();
+        self.raw.shutdown();
+    }
+}
 
 /// Per-PE liveness flags shared with the watchdog.
 pub(super) const PE_ALIVE: u8 = 0;
@@ -156,6 +254,7 @@ pub(super) const PE_CRASHED: u8 = 1;
 pub(super) const PE_PANICKED: u8 = 2;
 
 /// Shared wiring handed to every PE thread.
+#[derive(Clone)]
 pub(super) struct ThreadCtl {
     pub(super) agg: Arc<Aggregator>,
     pub(super) stop: Arc<AtomicBool>,
@@ -172,6 +271,9 @@ pub(super) struct ThreadCtl {
     /// in original numbers so generations concatenate.
     pub(super) orig_map: Arc<Vec<Pe>>,
     pub(super) compute_sleep: bool,
+    /// Let an idle thread run same-cluster siblings' queued application
+    /// envelopes ([`RunConfig::steal`]).
+    pub(super) steal: bool,
     /// Heartbeat cadence; `None` disables liveness traffic (no failure plan).
     pub(super) hb_interval: Option<Duration>,
     /// This PE's injected crash, already translated to the current
@@ -218,16 +320,10 @@ impl ThreadedEngine {
         }
         let ThreadedEngine { topo, tcfg, cfg } = self;
         let orig_n_pes = topo.num_pes();
-        let trace_on = cfg.trace;
-        let obs_on = cfg.obs_active();
-        let record_on = cfg.wants_spans();
+        let record_on = cfg.obs_active();
         let obs_cfg = cfg.obs.clone().unwrap_or_default();
-        let fault_plan = cfg.fault_plan.clone();
         let failure_plan = cfg.failure_plan.clone();
         let join_plan = cfg.join_plan.clone();
-        let agg_cfg = cfg.agg_active();
-        let flow_cfg = cfg.flow;
-        let steal_on = cfg.steal;
         let restart_cfg = cfg.clone();
         // Original cluster of every original PE: a rejoin without an
         // explicit cluster goes back where the PE came from.
@@ -285,46 +381,15 @@ impl ThreadedEngine {
             // wait for a fresh complete epoch on the new cluster.
             ckpt_done.store(0, Ordering::Release);
 
-            // With a fault plan the cross-cluster chain becomes
-            // checksum → fault injection → verify → delay: an injected
-            // corruption fails the CRC and is dropped (counted), so it
-            // reaches the reliable layer as a plain loss.  Without a plan
-            // the chain and the wrapper are both zero-overhead passthroughs.
-            let mut tc = TransportConfig::new(gen_topo.clone(), tcfg.latency.clone());
-            let injected = fault_plan.clone().map(|plan| {
-                let fault = FaultDevice::for_reliable(plan);
-                let verify = CrcDevice::verifier();
-                tc.cross_extra = vec![CrcDevice::appender(), fault.clone(), verify.clone()];
-                (fault, verify)
-            });
-            let raw = Transport::new(tc);
-            let transport = match (&fault_plan, flow_cfg) {
-                (Some(plan), Some(flow)) => ReliableTransport::with_flow(Arc::clone(&raw), plan.clone(), flow),
-                (Some(plan), None) => ReliableTransport::with_plan(Arc::clone(&raw), plan.clone()),
-                // Credit grants ride acks, so flow control needs the
-                // reliable layer even on a clean network; a generous RTO
-                // keeps the retransmit machinery from firing spuriously.
-                (None, Some(flow)) => ReliableTransport::with_flow(
-                    Arc::clone(&raw),
-                    FaultPlan::default().with_rto(Dur::from_millis(1000)),
-                    flow,
-                ),
-                (None, None) => ReliableTransport::passthrough(Arc::clone(&raw)),
-            };
-            let agg = match (agg_cfg, flow_cfg) {
-                (Some(c), Some(f)) => Aggregator::with_flow(Arc::clone(&transport), c, f),
-                (Some(c), None) => Aggregator::with_policy(Arc::clone(&transport), c),
-                (None, _) => Aggregator::passthrough(Arc::clone(&transport)),
-            };
+            let stack = MsgStack::build(TransportConfig::new(gen_topo.clone(), tcfg.latency.clone()), &restart_cfg);
+            let (raw, transport, agg) = (&stack.raw, &stack.transport, &stack.agg);
             let stop = Arc::new(AtomicBool::new(false));
             let status: Arc<Vec<AtomicU8>> = Arc::new((0..n_pes).map(|_| AtomicU8::new(PE_ALIVE)).collect());
             let gen_start = elapsed_ns(t0);
             let last_heard: Arc<Vec<AtomicU64>> = Arc::new((0..n_pes).map(|_| AtomicU64::new(gen_start)).collect());
 
-            let mut handles = Vec::with_capacity(n_pes);
-            let orig_map: Arc<Vec<Pe>> = Arc::new(orig.clone());
-            let mk_ctl = |pe: Pe| ThreadCtl {
-                agg: Arc::clone(&agg),
+            let base = ThreadCtl {
+                agg: Arc::clone(agg),
                 stop: Arc::clone(&stop),
                 exit_announced: Arc::clone(&exit_announced),
                 end_ns: Arc::clone(&end_ns),
@@ -335,43 +400,27 @@ impl ThreadedEngine {
                 topo: gen_topo.clone(),
                 record_on,
                 obs_cfg: obs_cfg.clone(),
-                orig_map: Arc::clone(&orig_map),
+                orig_map: Arc::new(orig.clone()),
                 compute_sleep: tcfg.compute_sleep,
+                steal: restart_cfg.steal,
                 hb_interval: failure_plan.as_ref().map(|p| p.hb_interval.to_std()),
-                crash: pending.iter().find(|s| s.pe == orig[pe.index()]).map(|s| s.trigger),
-                msgs_before: pe_messages_total[orig[pe.index()].index()],
+                crash: None,
+                msgs_before: 0,
                 ckpt_done: Arc::clone(&ckpt_done),
             };
-            if steal_on {
-                // Stealing mode: nodes live in a shared bank of slots so an
-                // idle sibling thread can run a queued App envelope against
-                // another PE's node.
-                let bank: NodeBank = Arc::new(nodes.drain(..).map(|n| Mutex::new(Some(n))).collect());
-                for i in 0..n_pes {
-                    let pe = Pe(i as u32);
-                    let ctl = mk_ctl(pe);
-                    let bank = Arc::clone(&bank);
-                    handles.push((
-                        pe,
-                        std::thread::Builder::new()
-                            .name(format!("mdo-pe{}", pe.0))
-                            .spawn(move || pe_thread_stealing(pe, bank, ctl))
-                            .expect("spawn PE thread"),
-                    ));
-                }
-            } else {
-                for node in nodes.drain(..) {
-                    let pe = node.pe();
-                    let ctl = mk_ctl(pe);
-                    handles.push((
-                        pe,
-                        std::thread::Builder::new()
-                            .name(format!("mdo-pe{}", pe.0))
-                            .spawn(move || pe_thread(pe, node, ctl))
-                            .expect("spawn PE thread"),
-                    ));
-                }
-            }
+            let bank = bank_of(n_pes, std::mem::take(&mut nodes));
+            let handles: Vec<_> = gen_topo
+                .pes()
+                .map(|pe| {
+                    let o = orig[pe.index()];
+                    let ctl = ThreadCtl {
+                        crash: pending.iter().find(|s| s.pe == o).map(|s| s.trigger),
+                        msgs_before: pe_messages_total[o.index()],
+                        ..base.clone()
+                    };
+                    spawn_pe(format!("mdo-pe{}", pe.0), pe, &bank, ctl)
+                })
+                .collect();
 
             // Boot the program (after a recovery the startup closure is
             // gone, so PE 0 goes straight to the restore-resume broadcast).
@@ -472,11 +521,7 @@ impl ThreadedEngine {
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            // Flush any still-buffered frames, stop retransmissions, then
-            // wake every thread and wind down.
-            agg.shutdown();
-            transport.shutdown();
-            raw.shutdown();
+            stack.shutdown();
 
             let mut results: Vec<PeResult> =
                 handles.into_iter().map(|(pe, h)| h.join().unwrap_or_else(|_| PeResult::lost(pe))).collect();
@@ -507,12 +552,11 @@ impl ThreadedEngine {
             network.intra_bytes += intra_bytes;
             network.cross_messages += cross_pkts;
             network.cross_bytes += cross_bytes;
-            let (dev_stats, crc_rejected) =
-                injected.map(|(fault, verify)| (fault.stats(), verify.rejected())).unwrap_or_default();
-            faults_total.dropped += dev_stats.dropped;
+            let (dropped, crc_rejected, reordered) = stack.fault_stats();
+            faults_total.dropped += dropped;
             faults_total.corrupt_rejected += crc_rejected;
             faults_total.dup_dropped += transport.dup_dropped();
-            faults_total.reordered += dev_stats.reordered;
+            faults_total.reordered += reordered;
             faults_total.retransmits += transport.retransmits();
             let ast = agg.stats();
             gctr.add(Ctr::FramesSent, ast.frames_sent);
@@ -531,11 +575,8 @@ impl ThreadedEngine {
                 let o = orig[r.pe.index()].index();
                 pe_busy_total[o] += r.busy;
                 pe_messages_total[o] += r.messages;
-                // Backlog can sit in the raw mailbox or (aggregating) in
-                // the unframed pending bank; the high-water mark sees both.
-                let depth = raw.mailbox(r.pe).max_depth().max(agg.pending_max_depth(r.pe));
+                let (depth, bytes) = stack.high_water(r.pe);
                 pe_queue_depth[o] = pe_queue_depth[o].max(depth);
-                let bytes = raw.mailbox(r.pe).max_bytes() as u64 + agg.pending_max_bytes(r.pe) as u64;
                 peak_mailbox_bytes = peak_mailbox_bytes.max(bytes);
                 if record_on {
                     // One mailbox high-water sample per generation: the
@@ -715,8 +756,7 @@ impl ThreadedEngine {
         gctr.add(Ctr::Reordered, faults_total.reordered);
         gctr.add(Ctr::FailuresDetected, failures.len() as u64);
 
-        let trace = trace_on.then(|| trace_from(&obs_total));
-        let obs = obs_on.then(|| ObsReport { pes: obs_total, counters: gctr.clone() });
+        let obs = record_on.then(|| ObsReport { pes: obs_total, counters: gctr.clone() });
 
         RunReport {
             end_time,
@@ -724,7 +764,6 @@ impl ThreadedEngine {
             pe_messages: pe_messages_total,
             pe_max_queue_depth: pe_queue_depth,
             network,
-            trace,
             obs,
             lb_rounds: lb_rounds_total,
             migrations: migrations_total,
@@ -777,172 +816,9 @@ fn record_spans(rec: &mut PeRecorder, outcome: &HandleOutcome, start: Time, took
     }
 }
 
-pub(super) fn pe_thread(pe: Pe, mut node: Node, ctl: ThreadCtl) -> PeResult {
-    let mut busy = Dur::ZERO;
-    let mut hooks = ThreadHooks {
-        t0: ctl.t0,
-        pe,
-        agg: Arc::clone(&ctl.agg),
-        rec: PeRecorder::maybe(ctl.record_on, ctl.orig_map[pe.index()].0, &ctl.obs_cfg),
-        orig: Arc::clone(&ctl.orig_map),
-        topo: ctl.topo.clone(),
-    };
-    let mut died = false;
-    let mut idle_pending = false;
-    let mut last_hb: Option<Instant> = None;
-    let mut sheds_seen = 0u64;
-    loop {
-        // Quiescence reconciliation: a shed envelope was counted as sent
-        // at its origin but will never be delivered; PE 0 folds the delta
-        // into the books so the sent/processed sums can still balance.
-        if pe == Pe(0) {
-            let shed = ctl.agg.sheds_total();
-            if shed > sheds_seen {
-                node.note_sheds(shed - sheds_seen);
-                sheds_seen = shed;
-            }
-        }
-        // An injected crash kills the thread silently: no goodbye message,
-        // no flushing — the failure detector has to notice on its own.
-        if let Some(trigger) = ctl.crash {
-            let due = match trigger {
-                CrashTrigger::AtTime(at) => ctl.t0.elapsed() >= at.to_std(),
-                CrashTrigger::AfterMessages(n) => ctl.msgs_before + node.messages_processed() >= n,
-            };
-            if due {
-                ctl.status[pe.index()].store(PE_CRASHED, Ordering::Release);
-                died = true;
-                break;
-            }
-        }
-        if let Some(interval) = ctl.hb_interval {
-            if pe == Pe(0) {
-                // The detector runs next to PE 0, which refreshes its own
-                // slot directly instead of mailing itself.
-                ctl.last_heard[0].store(elapsed_ns(ctl.t0), Ordering::Release);
-            } else if last_hb.is_none_or(|t| t.elapsed() >= interval) {
-                last_hb = Some(Instant::now());
-                let hb = Envelope {
-                    src: pe,
-                    dst: Pe(0),
-                    priority: SYSTEM_PRIORITY,
-                    sent_at_ns: elapsed_ns(ctl.t0),
-                    body: MsgBody::Heartbeat,
-                };
-                ctl.agg.send_with(pe, Pe(0), SYSTEM_PRIORITY, true, |buf| hb.encode_into(buf));
-            }
-        }
-        if ctl.stop.load(Ordering::Acquire) {
-            // Drain whatever is already queued, then leave.
-            if ctl.agg.try_recv(pe).is_none() {
-                break;
-            }
-        }
-        let Some(pkt) = ctl.agg.recv_timeout(pe, Duration::from_millis(20)) else {
-            // The mailbox ran dry after real work: a busy→idle transition.
-            if idle_pending {
-                idle_pending = false;
-                hooks.rec.idle(Time::from_nanos(elapsed_ns(ctl.t0)));
-            }
-            continue;
-        };
-        // Borrowing decode: the envelope's payload fields alias the packet
-        // (and, for coalesced traffic, the whole frame's) allocation.
-        let env = match Envelope::decode_shared(&pkt.payload) {
-            Ok(env) => env,
-            Err(e) => {
-                // A packet that survived the transport but does not parse
-                // is rejected and counted, never fatal: with fault
-                // injection the sender's retransmission carries an intact
-                // copy, and without it one bad packet must not take down
-                // the whole PE.
-                ctl.decode_rejected.fetch_add(1, Ordering::Relaxed);
-                eprintln!("mdo-pe{}: dropping undecodable packet from {}: {e:?}", pe.0, pkt.src);
-                continue;
-            }
-        };
-        if ctl.hb_interval.is_some() && pe == Pe(0) && matches!(env.body, MsgBody::Heartbeat) {
-            ctl.last_heard[env.src.index()].store(elapsed_ns(ctl.t0), Ordering::Release);
-            continue;
-        }
-        let started = Instant::now();
-        let start_time = Time::from_nanos(elapsed_ns(ctl.t0));
-        let sent_at = Time::from_nanos(env.sent_at_ns);
-        let (src, dst) = (env.src, env.dst);
-        let sys = env.priority == SYSTEM_PRIORITY;
-        let wire_bytes = pkt.payload.len() as u64;
-        // Panic isolation: a handler that panics takes down its PE, not
-        // the process — the watchdog sees the flag and either recovers
-        // (failure plan armed) or surfaces a structured error.
-        let outcome = match catch_unwind(AssertUnwindSafe(|| node.handle(env, &mut hooks))) {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                ctl.status[pe.index()].store(PE_PANICKED, Ordering::Release);
-                died = true;
-                break;
-            }
-        };
-        if let Some(epoch) = outcome.ckpt_complete {
-            ctl.ckpt_done.store(epoch as u64 + 1, Ordering::Release);
-        }
-        if ctl.compute_sleep && !outcome.charged.is_zero() {
-            std::thread::sleep(outcome.charged.to_std());
-        }
-        let took = Dur::from_std(started.elapsed());
-        busy += took;
-        if hooks.rec.is_on() {
-            hooks.rec.recv(
-                start_time,
-                ctl.orig_map[src.index()].0,
-                sent_at,
-                wire_bytes,
-                ctl.topo.crosses_wan(src, dst),
-                sys,
-            );
-            record_spans(&mut hooks.rec, &outcome, start_time, took);
-            if let Some(epoch) = outcome.ckpt_epoch {
-                hooks.rec.checkpoint(start_time, epoch);
-            }
-            idle_pending = true;
-        }
-        if outcome.exit && !ctl.exit_announced.swap(true, Ordering::AcqRel) {
-            ctl.end_ns.store(elapsed_ns(ctl.t0), Ordering::Release);
-            // Tell everyone (including ourselves — harmless) to stop.
-            for dst in ctl.topo.pes() {
-                let bye = Envelope { src: pe, dst, priority: SYSTEM_PRIORITY, sent_at_ns: 0, body: MsgBody::Exit };
-                ctl.agg.send_with(pe, dst, SYSTEM_PRIORITY, true, |buf| bye.encode_into(buf));
-            }
-            ctl.stop.store(true, Ordering::Release);
-        }
-        if outcome.exit {
-            break;
-        }
-    }
-    let messages = node.messages_processed();
-    let lb_rounds = node.lb_rounds();
-    let migrations = node.migrations();
-    let rebalance = node.rebalance_triggers();
-    let ft_epochs = node.ft_epochs();
-    let ft_bytes = node.ft_bytes_stored();
-    let obs = hooks.rec.finish();
-    PeResult {
-        pe,
-        busy,
-        messages,
-        lb_rounds,
-        migrations,
-        rebalance,
-        obs,
-        ft_epochs,
-        ft_bytes,
-        steals: 0,
-        node: (!died).then_some(node),
-    }
-}
-
 /// Bodies that enumerate the whole object table (packing element state or
-/// resuming every element): in stealing mode they must not run while a
-/// chare is checked out, or the missing element would be dropped from the
+/// resuming every element): they must not run while a chare is checked
+/// out, or the missing element would be dropped from the
 /// snapshot / migration batch.
 fn needs_elem_quiescence(body: &MsgBody) -> bool {
     matches!(
@@ -965,7 +841,7 @@ enum ExecResult {
     Panicked,
 }
 
-/// Execute one decoded envelope against `home`'s node in stealing mode.
+/// Execute one decoded envelope against `home`'s node in the bank.
 ///
 /// App envelopes take the checkout path: the target chare is removed from
 /// the home node's table under its slot lock, `Chare::receive` runs with
@@ -1029,11 +905,13 @@ fn execute_on(home: Pe, env: Envelope, bank: &NodeBank, hooks: &mut ThreadHooks,
     }
 }
 
-/// The stealing variant of [`pe_thread`]: same lifecycle (sheds
-/// reconciliation, injected crashes, heartbeats, stop-drain, exit
-/// announcement), but the node lives in the shared bank and an empty own
-/// mailbox makes this thread try siblings' queues before blocking.
-pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeResult {
+/// The message-driven scheduler of one PE, run by both the in-process and
+/// the TCP engine: take the next packet from this PE's mailbox — or, with
+/// [`RunConfig::steal`] and an empty mailbox, from a same-cluster
+/// sibling's — decode it and execute it against its home node in the
+/// bank.  The loop also reconciles sheds (PE 0), fires injected crashes,
+/// sends heartbeats, drains on stop and announces the exit.
+pub(super) fn pe_loop(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeResult {
     let mut busy = Dur::ZERO;
     let mut steals = 0u64;
     let mut hooks = ThreadHooks {
@@ -1051,7 +929,14 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
     // Steal only from same-cluster siblings: stealing is an intra-node
     // remap, and the mailbox-level filter additionally refuses system and
     // cross-WAN packets.
-    let victims: Vec<Pe> = ctl.topo.pes().filter(|&v| v != pe && !ctl.topo.crosses_wan(pe, v)).collect();
+    let victims: Vec<Pe> = if ctl.steal {
+        ctl.topo.pes().filter(|&v| v != pe && !ctl.topo.crosses_wan(pe, v)).collect()
+    } else {
+        Vec::new()
+    };
+    // With victims to poll, block only briefly so a sibling's backlog is
+    // noticed soon; with none, only our own mailbox can bring work.
+    let wait = Duration::from_millis(if victims.is_empty() { 20 } else { 1 });
     loop {
         {
             let mut slot = bank[pe.index()].lock().unwrap_or_else(|e| e.into_inner());
@@ -1061,6 +946,9 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
                 died = true;
                 break;
             };
+            // Quiescence reconciliation: a shed envelope was counted as
+            // sent at its origin but will never be delivered; PE 0 folds
+            // the delta into the books so the sent/processed sums balance.
             if pe == Pe(0) {
                 let shed = ctl.agg.sheds_total();
                 if shed > sheds_seen {
@@ -1068,6 +956,8 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
                     sheds_seen = shed;
                 }
             }
+            // An injected crash kills the thread silently: no goodbye
+            // message, no flushing — the failure detector has to notice.
             if let Some(trigger) = ctl.crash {
                 let due = match trigger {
                     CrashTrigger::AtTime(at) => ctl.t0.elapsed() >= at.to_std(),
@@ -1085,6 +975,8 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
         }
         if let Some(interval) = ctl.hb_interval {
             if pe == Pe(0) {
+                // The detector runs next to PE 0, which refreshes its own
+                // slot directly instead of mailing itself.
                 ctl.last_heard[0].store(elapsed_ns(ctl.t0), Ordering::Release);
             } else if last_hb.is_none_or(|t| t.elapsed() >= interval) {
                 last_hb = Some(Instant::now());
@@ -1126,7 +1018,7 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
                     steals += 1;
                     s
                 }
-                None => match ctl.agg.recv_timeout(pe, Duration::from_millis(1)) {
+                None => match ctl.agg.recv_timeout(pe, wait) {
                     Some(p) => (p, pe),
                     None => {
                         if idle_pending {
@@ -1138,9 +1030,16 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
                 },
             }
         };
+        // Borrowing decode: the envelope's payload fields alias the packet
+        // (and, for coalesced traffic, the whole frame's) allocation.
         let env = match Envelope::decode_shared(&pkt.payload) {
             Ok(env) => env,
             Err(e) => {
+                // A packet that survived the transport but does not parse
+                // is rejected and counted, never fatal: with fault
+                // injection the sender's retransmission carries an intact
+                // copy, and without it one bad packet must not take down
+                // the whole PE.
                 ctl.decode_rejected.fetch_add(1, Ordering::Relaxed);
                 eprintln!("mdo-pe{}: dropping undecodable packet from {}: {e:?}", pe.0, pkt.src);
                 continue;
@@ -1159,6 +1058,8 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
         // The envelope executes against its HOME node: emissions carry the
         // home PE as src, its QD and load books are charged — only the OS
         // thread differs, which is exactly the "transient remap" contract.
+        // A panicking handler takes down its home PE, not the process: the
+        // watchdog sees the flag and recovers or reports the error.
         hooks.pe = home;
         let result = execute_on(home, env, &bank, &mut hooks, &ctl);
         hooks.pe = pe;
@@ -1199,6 +1100,7 @@ pub(super) fn pe_thread_stealing(pe: Pe, bank: NodeBank, ctl: ThreadCtl) -> PeRe
         }
         if outcome.exit && !ctl.exit_announced.swap(true, Ordering::AcqRel) {
             ctl.end_ns.store(elapsed_ns(ctl.t0), Ordering::Release);
+            // Tell everyone (including ourselves — harmless) to stop.
             for dst in ctl.topo.pes() {
                 let bye = Envelope { src: pe, dst, priority: SYSTEM_PRIORITY, sent_at_ns: 0, body: MsgBody::Exit };
                 ctl.agg.send_with(pe, dst, SYSTEM_PRIORITY, true, |buf| bye.encode_into(buf));

@@ -78,4 +78,12 @@ mod tests {
         let b = ObjKey::new(ArrayId(2), ElemId(0));
         assert!(a < b);
     }
+
+    #[test]
+    fn obj_key_converts_to_tag_with_same_rendering() {
+        let key = ObjKey::new(ArrayId(1), ElemId(2));
+        let tag: mdo_obs::ObjTag = key.into();
+        assert_eq!(tag, mdo_obs::ObjTag { array: 1, elem: 2 });
+        assert_eq!(format!("{tag}"), format!("{key}"));
+    }
 }

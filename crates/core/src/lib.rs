@@ -29,16 +29,15 @@
 //! * [`engine::threaded`] — the real-time engine over `mdo-vmi` (one OS
 //!   thread per PE, a real delay device injecting real latencies — our
 //!   stand-in for the paper's real multi-cluster validation runs).
-//! * [`trace`] — execution timelines (Figure 2 reproductions), derived
-//!   from the `mdo-obs` event stream both engines record into.
 //!
 //! Observability lives in the `mdo-obs` crate: arm [`RunConfig::obs`]
 //! with an [`ObsConfig`] and the run report carries an
 //! [`ObsReport`] — per-PE event streams, counters, latency/grain
 //! histograms, the overlap-fraction analysis, and Chrome-trace/CSV
-//! exporters.  The `obs` cargo feature (default on) compiles the
-//! recording paths; without it `RunConfig::obs` is inert and only the
-//! legacy trace knob records.
+//! exporters; `mdo_obs::trace_from` derives the Figure-2 execution
+//! timeline from the same event streams.  The `obs` cargo feature
+//! (default on) compiles the recording paths; without it
+//! `RunConfig::obs` is inert and nothing is recorded.
 //!
 //! Both engines execute the *same* application objects; only time differs
 //! (virtual vs wall-clock).
@@ -94,7 +93,6 @@ mod objtable;
 pub mod program;
 pub mod queue;
 pub mod reduction;
-pub mod trace;
 pub mod wire;
 
 pub use chare::{Chare, Ctx, HostCtl};

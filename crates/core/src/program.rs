@@ -4,7 +4,7 @@
 //! (with factories and placement), a startup closure, and host callbacks
 //! (reduction clients, a quiescence client).  A [`RunConfig`] holds the
 //! runtime knobs the paper studies — Grid message priority, load-balancing
-//! strategy, tracing.  Engines consume both and return a [`RunReport`].
+//! strategy, observability.  Engines consume both and return a [`RunReport`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +24,6 @@ use crate::engine::policy::{DeliverySpec, ScheduleSink};
 use crate::envelope::ReduceData;
 use crate::ids::{ArrayId, ElemId};
 use crate::mapping::Mapping;
-use crate::trace::Trace;
 use crate::wire::WireReader;
 
 /// Startup closure type.
@@ -224,8 +223,6 @@ pub struct RunConfig {
     pub grid_prio: bool,
     /// Strategy used when elements call `at_sync` (default Identity).
     pub lb: LbChoice,
-    /// Record an execution trace (costs memory; see [`Trace`]).
-    pub trace: bool,
     /// Run quiescence-detection waves and fire the program's quiescence
     /// client when the application goes quiet.
     pub detect_quiescence: bool,
@@ -286,8 +283,7 @@ pub struct RunConfig {
     /// engine; an equivalent batched-release model in simulation virtual
     /// time).  System-critical envelopes force a flush, so quiescence
     /// detection and barriers never stall.  `None` (the default) sends
-    /// every envelope standalone, exactly as before; building `mdo-core`
-    /// without the `agg` feature compiles the coalescing paths out.
+    /// every envelope standalone, exactly as before.
     pub agg: Option<AggConfig>,
     /// End-to-end backpressure: when set, each cross-cluster (src, dst)
     /// pair is held to the config's credit window and per-PE delivery
@@ -307,8 +303,8 @@ pub struct RunConfig {
     /// One process per cluster; node 0 hosts PE 0 and merges the final
     /// report from every node's control-plane submission.  `None` (the
     /// default) keeps the whole job in one process, exactly as before.
-    /// Ignored by the simulation engine.  In net mode `join_plan`, `obs`
-    /// and `trace` are unsupported and ignored (see DESIGN.md).
+    /// Ignored by the simulation engine.  In net mode `join_plan` and
+    /// `obs` are unsupported and ignored (see DESIGN.md).
     pub net: Option<mdo_net::NetConfig>,
     /// Grid-topology-aware collectives: when set, broadcasts, reductions
     /// and section multicasts route over a two-level
@@ -323,39 +319,22 @@ pub struct RunConfig {
     /// collectives.
     pub tree_collectives: Option<TreeConfig>,
     /// Intra-node work stealing: when set, an idle PE thread of the
-    /// threaded engine executes application envelopes queued for sibling
-    /// PEs of the same cluster.  A steal is a *transient remap* — the
+    /// threaded engine (in one process or over TCP) executes application
+    /// envelopes queued for sibling PEs of the same cluster.  A steal is a *transient remap* — the
     /// message still runs against its home PE's node (its emissions, QD
     /// books and load accounting are the home PE's), only the executing
     /// OS thread changes — so application semantics and cross-engine
     /// digests are unchanged; `Ctr::Steals` counts remapped executions.
     /// System/control traffic and cross-WAN packets are never stolen.
-    /// Ignored by the simulation engine (one virtual thread) and by
-    /// multi-process (`net`) mode.  Default off: the engine's message
-    /// loop is byte-identical to the historical one.
+    /// Ignored by the simulation engine (one virtual thread).  Default
+    /// off: each PE thread runs only its own PE's messages.
     pub steal: bool,
 }
 
 impl RunConfig {
-    /// Whether engines must collect handler execution spans — true when
-    /// either the legacy trace knob or the observability subsystem is on
-    /// (both derive timelines from the same event stream).
-    pub fn wants_spans(&self) -> bool {
-        self.trace || self.obs_active()
-    }
-
     /// Whether the observability subsystem is armed *and* compiled in.
     pub fn obs_active(&self) -> bool {
         cfg!(feature = "obs") && self.obs.is_some()
-    }
-
-    /// Whether message aggregation is armed *and* compiled in.
-    pub fn agg_active(&self) -> Option<AggConfig> {
-        if cfg!(feature = "agg") {
-            self.agg
-        } else {
-            None
-        }
     }
 
     /// Whether the fault-tolerance machinery (buddy checkpoints at every
@@ -372,7 +351,6 @@ impl Default for RunConfig {
         RunConfig {
             grid_prio: false,
             lb: LbChoice::Identity,
-            trace: false,
             detect_quiescence: false,
             checkpoint_at_barrier: false,
             seed: 0,
@@ -409,8 +387,6 @@ pub struct RunReport {
     pub pe_max_queue_depth: Vec<usize>,
     /// Traffic summary (intra vs cross-cluster).
     pub network: NetworkStats,
-    /// Execution trace, if requested.
-    pub trace: Option<Trace>,
     /// Observability data (events, counters, histograms, overlap
     /// analyses), when [`RunConfig::obs`] was armed.
     pub obs: Option<ObsReport>,
@@ -555,7 +531,6 @@ mod tests {
             pe_messages: vec![1, 1],
             pe_max_queue_depth: vec![1, 2],
             network: NetworkStats::default(),
-            trace: None,
             obs: None,
             lb_rounds: 0,
             migrations: 0,

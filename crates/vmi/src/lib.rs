@@ -5,17 +5,17 @@
 //! *send chains* and *receive chains* of dynamically-composed device
 //! drivers.  The paper exploits this to build its simulated Grid: a **delay
 //! device** sits between two network drivers and holds cross-cluster
-//! messages for a configured latency before passing them on (§5.1), and the
-//! layer can also stripe data across interconnects, compress payloads, or
-//! verify integrity (§2.2).
+//! messages for a configured latency before passing them on (§5.1), and
+//! other devices can intercept message data the same way, e.g. to verify
+//! integrity (§2.2).
 //!
 //! This crate rebuilds that layer for the *threaded* execution engine,
 //! where each PE is an OS thread and the "network" is shared memory:
 //!
 //! * [`packet`] — the unit a device sees: opaque bytes + routing metadata.
 //! * [`device`] — the [`Device`] trait and [`Chain`] composition.
-//! * [`devices`] — delay (timer-wheel thread), compression (RLE),
-//!   CRC32 integrity, striping/reassembly, and byte-counting devices.
+//! * [`devices`] — delay (timer-wheel thread), CRC32 integrity, fault
+//!   injection and byte-counting devices.
 //! * [`mailbox`] — per-PE blocking priority mailboxes (the terminal
 //!   "network driver" of every chain).
 //! * [`reliable`] — sequence numbers, cumulative acks and timer-driven
@@ -73,13 +73,10 @@ pub mod wire;
 
 pub use aggregate::{AggStats, Aggregator};
 pub use device::{Chain, Device, Forwarder};
-pub use devices::cipher::CipherDevice;
 pub use devices::counter::CounterDevice;
 pub use devices::crc::CrcDevice;
 pub use devices::delay::DelayDevice;
 pub use devices::fault::{FaultDevice, FaultDeviceStats};
-pub use devices::rle::RleDevice;
-pub use devices::stripe::{ReassembleDevice, StripeDevice};
 pub use frame::{FrameBuilder, FrameError, FRAME_TAG};
 pub use mailbox::Mailbox;
 pub use packet::Packet;

@@ -2,16 +2,18 @@
 //!
 //! Charm++ ships the *Projections* tool for exactly this: per-PE
 //! utilization timelines, time profiles by object, and message-latency
-//! views.  The runtime's tracer records the same data; this demo runs the
-//! stencil at a latency where masking is partial and prints the analysis
-//! — watch the boundary PEs (the ones holding cross-cluster blocks) show
-//! the idle gaps.
+//! views.  The runtime's observability subsystem records the same data
+//! (`RunConfig::obs`) and `trace_from` turns it into a timeline; this demo
+//! runs the stencil at a latency where masking is partial and prints the
+//! analysis — watch the boundary PEs (the ones holding cross-cluster
+//! blocks) show the idle gaps.
 //!
 //! ```sh
 //! cargo run --release --example profile -- [pes] [objects] [latency_ms]
 //! ```
 
 use gridmdo::apps::stencil::{self, StencilConfig};
+use gridmdo::obs::trace_from;
 use gridmdo::prelude::*;
 
 fn main() {
@@ -22,9 +24,9 @@ fn main() {
 
     let cfg = StencilConfig::paper(objects, 6);
     let net = NetworkModel::two_cluster_sweep(pes, Dur::from_millis(latency));
-    let run_cfg = RunConfig { trace: true, ..RunConfig::default() };
+    let run_cfg = RunConfig { obs: Some(ObsConfig::new()), ..RunConfig::default() };
     let out = stencil::run_sim(cfg, net, run_cfg);
-    let trace = out.report.trace.as_ref().expect("tracing enabled");
+    let trace = trace_from(&out.report.obs.as_ref().expect("obs armed").pes);
 
     println!("stencil: {objects} objects, {pes} PEs, {latency} ms one-way -> {:.3} ms/step\n", out.ms_per_step);
     print!("{}", trace.ascii_timeline(pes as usize, 72));

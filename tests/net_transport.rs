@@ -111,6 +111,11 @@ fn four_node_stencil_is_bit_exact_with_agg_and_flow() {
     assert!(multi.report.unrecoverable.is_none());
     // Every PE's work shows up in the merged report, not just node 0's.
     assert!(multi.report.pe_messages.iter().all(|&m| m > 0), "merged per-PE counts: {:?}", multi.report.pe_messages);
+
+    // Each node hosts two PEs, so with stealing on every PE thread has a
+    // sibling to take work from; a steal only remaps execution.
+    let stealing = run_stencil_net(&cfg, &topo, &latency, &RunConfig { steal: true, ..run_cfg.clone() }, 1);
+    assert_eq!(stealing.block_sums, seq, "multi-node TCP run with stealing matches bit-exactly");
 }
 
 #[test]
