@@ -108,11 +108,7 @@ pub fn run_sim(cfg: Ampi2dConfig, net: NetworkModel, run_cfg: RunConfig) -> Ampi
             let mut grid = vec![0.0f64; w * w];
             let mut next = vec![0.0f64; w * w];
             if cfg.compute {
-                for r in 0..b {
-                    for c in 0..b {
-                        grid[(r + 1) * w + c + 1] = seq::initial_value(cfg.mesh, bi * b + r, bj * b + c);
-                    }
-                }
+                seq::fill_initial(&mut grid[w + 1..], w, bi * b, bj * b, b, b, cfg.mesh);
             }
             let col = |g: &Vec<f64>, c: usize| -> Vec<f64> { (1..=b).map(|r| g[r * w + c]).collect() };
 
@@ -154,17 +150,7 @@ pub fn run_sim(cfg: Ampi2dConfig, net: NetworkModel, run_cfg: RunConfig) -> Ampi
                     }
                 }
                 if cfg.compute {
-                    for r in 1..=b {
-                        for c in 1..=b {
-                            next[r * w + c] = seq::update(
-                                grid[r * w + c],
-                                grid[(r - 1) * w + c],
-                                grid[(r + 1) * w + c],
-                                grid[r * w + c - 1],
-                                grid[r * w + c + 1],
-                            );
-                        }
-                    }
+                    seq::sweep(&grid, &mut next, w, b, b);
                     std::mem::swap(&mut grid, &mut next);
                 }
                 rank.charge(cfg.cost.step_cost(b * b, n_neighbors));

@@ -66,16 +66,18 @@ pub fn run_sim(cfg: BspConfig, net: NetworkModel, run_cfg: RunConfig) -> BspOutc
             let me = rank.rank();
             let rows = n / p as usize;
             let r0 = me as usize * rows; // my first global row
-                                         // rows+2 working rows with halo rows above and below.
-            let mut grid = vec![0.0f64; (rows + 2) * n];
-            let mut next = vec![0.0f64; (rows + 2) * n];
+
+            // rows+2 working rows of n+2 cells: halo rows above and below,
+            // and a zero column on each side (the mesh's left/right
+            // boundary).  The halo rows of the first and last rank are
+            // never received, so they stay 0 too.
+            let w = n + 2;
+            let mut grid = vec![0.0f64; (rows + 2) * w];
+            let mut next = vec![0.0f64; (rows + 2) * w];
             if cfg.compute {
-                for r in 0..rows {
-                    for c in 0..n {
-                        grid[(r + 1) * n + c] = seq::initial_value(n, r0 + r, c);
-                    }
-                }
+                seq::fill_initial(&mut grid[w + 1..], w, r0, 0, rows, n, n);
             }
+            let interior = |r: usize| r * w + 1..r * w + 1 + n;
             let pack = |row: &[f64]| {
                 let mut out = Vec::with_capacity(row.len() * 8);
                 for v in row {
@@ -91,38 +93,29 @@ pub fn run_sim(cfg: BspConfig, net: NetworkModel, run_cfg: RunConfig) -> BspOutc
             for _step in 0..cfg.steps {
                 // Blocking halo exchange with the neighbours.
                 if me > 0 {
-                    rank.send(me - 1, TO_PREV, pack(&grid[n..2 * n]));
+                    rank.send(me - 1, TO_PREV, pack(&grid[interior(1)]));
                 }
                 if me + 1 < p {
-                    rank.send(me + 1, TO_NEXT, pack(&grid[rows * n..(rows + 1) * n]));
+                    rank.send(me + 1, TO_NEXT, pack(&grid[interior(rows)]));
                 }
                 if me > 0 {
                     let data = rank.recv_from(me - 1, TO_NEXT).await;
-                    unpack(&data, &mut grid[0..n]);
+                    unpack(&data, &mut grid[interior(0)]);
                 }
                 if me + 1 < p {
                     let data = rank.recv_from(me + 1, TO_PREV).await;
-                    unpack(&data, &mut grid[(rows + 1) * n..(rows + 2) * n]);
+                    unpack(&data, &mut grid[interior(rows + 1)]);
                 }
                 // Compute.
                 if cfg.compute {
-                    for r in 1..=rows {
-                        let gr = r0 + r - 1;
-                        for c in 0..n {
-                            let up = if gr == 0 { 0.0 } else { grid[(r - 1) * n + c] };
-                            let down = if gr + 1 == n { 0.0 } else { grid[(r + 1) * n + c] };
-                            let left = if c == 0 { 0.0 } else { grid[r * n + c - 1] };
-                            let right = if c + 1 == n { 0.0 } else { grid[r * n + c + 1] };
-                            next[r * n + c] = seq::update(grid[r * n + c], up, down, left, right);
-                        }
-                    }
+                    seq::sweep(&grid, &mut next, w, rows, n);
                     std::mem::swap(&mut grid, &mut next);
                 }
                 rank.charge(cfg.cost.step_cost(rows * n, 2));
                 // The lockstep part: a global reduction every step.
                 let _ = rank.allreduce_f64(&[1.0], AmpiOp::Sum).await;
             }
-            let sum: f64 = grid[n..(rows + 1) * n].iter().sum();
+            let sum: f64 = (1..=rows).flat_map(|r| &grid[interior(r)]).sum();
             sums.lock().expect("sums lock")[me as usize] = sum;
         })
     });

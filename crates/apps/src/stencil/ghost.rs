@@ -98,11 +98,7 @@ impl GhostBlock {
         let w = b + 2 * g;
         let (mut grid, next) = (vec![0.0; w * w], vec![0.0; w * w]);
         if cfg.compute {
-            for r in 0..b {
-                for c in 0..b {
-                    grid[(r + g) * w + (c + g)] = seq::initial_value(cfg.mesh, bi * b + r, bj * b + c);
-                }
-            }
+            seq::fill_initial(&mut grid[g * w + g..], w, bi * b, bj * b, b, b, cfg.mesh);
         }
         GhostBlock {
             cfg,
@@ -230,35 +226,23 @@ impl GhostBlock {
         let b = self.cfg.block();
         let g = self.cfg.layers;
         let w = b + 2 * g;
-        let n = self.cfg.mesh as isize;
+        let n = self.cfg.mesh;
         let steps_this_round = (self.cfg.steps - self.step).min(g as u32) as usize;
         let mut cost_cells = 0usize;
         for t in 1..=steps_this_round {
             // After t local steps only depth ≤ g−t halo cells stay valid.
             let lo = t;
             let hi = w - t;
-            for r in lo..hi {
-                for c in lo..hi {
-                    // Global coordinates; outside-mesh cells stay 0.
-                    let gr = self.bi as isize * b as isize + r as isize - g as isize;
-                    let gc = self.bj as isize * b as isize + c as isize - g as isize;
-                    if gr < 0 || gc < 0 || gr >= n || gc >= n {
-                        self.next[r * w + c] = 0.0;
-                        continue;
-                    }
-                    if self.cfg.compute {
-                        self.next[r * w + c] = seq::update(
-                            self.grid[r * w + c],
-                            self.grid[(r - 1) * w + c],
-                            self.grid[(r + 1) * w + c],
-                            self.grid[r * w + c - 1],
-                            self.grid[r * w + c + 1],
-                        );
-                    }
-                }
-            }
             cost_cells += (hi - lo) * (hi - lo);
             if self.cfg.compute {
+                // Clip the window to the mesh: local index i of block row
+                // (or column) `blk` is global index blk·b + i − g.  Cells
+                // outside the mesh are never written, so they stay 0 in
+                // both arrays and act as the Dirichlet boundary.
+                let clip = |blk: usize| (lo.max(g.saturating_sub(blk * b)), hi.min(n + g - blk * b));
+                let ((r0, r1), (c0, c1)) = (clip(self.bi), clip(self.bj));
+                let corner = (r0 - 1) * w + c0 - 1;
+                seq::sweep(&self.grid[corner..], &mut self.next[corner..], w, r1 - r0, c1 - c0);
                 std::mem::swap(&mut self.grid, &mut self.next);
             }
         }

@@ -196,13 +196,8 @@ impl Block {
         if cfg.compute {
             let w = b + 2;
             grid = vec![0.0; w * w];
-            next = vec![0.0; w * w];
-            for r in 0..b {
-                for c in 0..b {
-                    grid[(r + 1) * w + (c + 1)] = seq::initial_value(cfg.mesh, bi * b + r, bj * b + c);
-                }
-            }
-            next.copy_from_slice(&grid);
+            seq::fill_initial(&mut grid[w + 1..], w, bi * b, bj * b, b, b, cfg.mesh);
+            next = grid.clone();
         }
         Block {
             cfg,
@@ -299,17 +294,7 @@ impl Block {
                     }
                 }
             }
-            for r in 1..=b {
-                for c in 1..=b {
-                    self.next[r * w + c] = seq::update(
-                        self.grid[r * w + c],
-                        self.grid[(r - 1) * w + c],
-                        self.grid[(r + 1) * w + c],
-                        self.grid[r * w + c - 1],
-                        self.grid[r * w + c + 1],
-                    );
-                }
-            }
+            seq::sweep(&self.grid, &mut self.next, w, b, b);
             std::mem::swap(&mut self.grid, &mut self.next);
         } else {
             for g in &mut self.got {

@@ -113,7 +113,13 @@ impl DelayDevice {
 
     /// Stop the timer thread, forwarding anything still parked immediately.
     pub fn shutdown(&self) {
-        *self.shared.shutdown.lock() = true;
+        {
+            // Set the flag under the heap lock: the timer checks it and
+            // then waits while holding that lock, so it either sees the
+            // flag or is already waiting when the notify below arrives.
+            let _heap = self.shared.heap.lock();
+            *self.shared.shutdown.lock() = true;
+        }
         self.shared.cond.notify_all();
         if let Some(h) = self.timer.lock().take() {
             let _ = h.join();
@@ -283,5 +289,26 @@ mod tests {
         assert_eq!(dev.pending(), 1);
         dev.shutdown();
         assert_eq!(out.lock().len(), 1, "pending packet flushed on shutdown");
+    }
+
+    #[test]
+    fn shutdown_racing_the_timers_first_wait_never_hangs() {
+        // Shut down 0–40 µs after start, so some shutdowns land between
+        // the timer's flag check and its wait; a lost wakeup there hangs
+        // the join for good.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for i in 0..20_000u32 {
+                let dev = DelayDevice::fixed(Duration::from_millis(1));
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_nanos(u64::from(i % 400) * 100) {
+                    std::hint::spin_loop();
+                }
+                dev.shutdown();
+            }
+            let _ = tx.send(());
+        });
+        assert!(rx.recv_timeout(Duration::from_secs(60)).is_ok(), "a shutdown wakeup was lost");
+        cycles.join().expect("start/shutdown cycles");
     }
 }

@@ -1,8 +1,7 @@
 //! Cross-engine agreement: the virtual-time simulation engine and the
-//! threaded engine must (a) compute identical application results and
-//! (b) predict comparable timing when the threaded engine sleep-emulates
-//! compute — the reproduction's analogue of the paper's artificial-vs-
-//! real-Grid validation (Tables 1 and 2).
+//! threaded engine must compute identical application results.  The
+//! timing half of the agreement — the threaded engine sleep-emulating
+//! compute tracks the simulated time — is `tests/engines_timing.rs`.
 
 use gridmdo::apps::leanmd::{self, MdConfig};
 use gridmdo::apps::stencil::{self, StencilConfig, StencilCost};
@@ -37,30 +36,6 @@ fn stencil_results_identical_across_engines() {
         stencil::run_threaded(cfg, topo, latency, RunConfig::default())
     };
     assert_eq!(sim.block_sums, threaded.block_sums, "identical fields, any engine");
-}
-
-#[test]
-fn stencil_timing_agrees_with_sleep_emulation() {
-    // 64x64 mesh in 16 objects, ~8.2 ms of compute per object step.
-    let cfg = stencil_cfg(8);
-    let lat = Dur::from_millis(5);
-    let sim = {
-        let net = NetworkModel::two_cluster_sweep(4, lat);
-        stencil::run_sim(cfg.clone(), net, RunConfig::default())
-    };
-    let threaded = {
-        let topo = Topology::two_cluster(4);
-        let latency = LatencyMatrix::uniform(&topo, Dur::ZERO, lat);
-        let tcfg = ThreadedConfig::new(latency).with_compute_sleep();
-        stencil::run_threaded_with(cfg, topo, tcfg, RunConfig::default())
-    };
-    let ratio = threaded.ms_per_step / sim.ms_per_step;
-    assert!(
-        (0.8..1.6).contains(&ratio),
-        "threaded wall time tracks simulated time: sim {:.3} ms/step, real {:.3} ms/step ({ratio:.2}x)",
-        sim.ms_per_step,
-        threaded.ms_per_step
-    );
 }
 
 #[test]
